@@ -1,21 +1,22 @@
 """Speculative execution engines: HOSE and CASE (Definitions 2 and 4).
 
 Both engines execute a whole :class:`~repro.ir.program.Program` with a
-window of in-flight segments per region, driving the *same* operation
-streams the sequential interpreter drives (the coroutines of
-:mod:`repro.runtime.executor`).  The init section, region entry code
-(loop bounds) and finale run non-speculatively, exactly as in
-:class:`~repro.runtime.interpreter.SequentialInterpreter`; inside a
-region up to ``window`` segments execute concurrently (simulated by
-age-ordered round-robin, one operation per segment per round) on top of
-the :mod:`~repro.runtime.specstore` substrate:
+window of in-flight segments per region.  The init section, region
+entry code (loop bounds) and finale run non-speculatively, exactly as
+in :class:`~repro.runtime.interpreter.SequentialInterpreter`; inside a
+region one window scheduler, :class:`SpeculativeEngine`, runs up to
+``window`` segments concurrently on top of the
+:mod:`~repro.runtime.specstore` substrate.  It owns the whole segment
+lifecycle:
 
+* the window fills in age order -- loop iterations in index order, or
+  the *predicted* path of an explicit region -- and refills as
+  segments commit;
 * a speculative read is served by the segment's own buffer, then by the
   nearest older in-flight buffer (forwarding), then by conventional
   memory -- and is *tracked* so a later write by an older segment can
-  detect the violation;
-* a speculative write is buffered; every write (buffered or direct)
-  rolls back all segments younger than the oldest violating reader;
+  detect the violation, which squashes and restarts everything from
+  the oldest violating reader on (under a restart budget);
 * a buffer that would exceed its capacity stalls the segment; once the
   stalled segment is the oldest it drains its buffer to memory and
   finishes in write-through mode (it is non-speculative from then on);
@@ -23,7 +24,21 @@ the :mod:`~repro.runtime.specstore` substrate:
   memory state bit-identical to the sequential interpreter's: the
   oldest segment always reads committed (sequential) state, and any
   younger segment that consumed a stale value is squashed and
-  re-executed before it can commit.
+  re-executed before it can commit;
+* the resilience policy wraps every round: poison scrub, fault
+  recovery, the progress watchdog and the invariant auditor.
+
+Only *attempt execution* varies, behind a two-method seam (``attempt``
+runs one scheduling step of a task, ``retire`` commits the finished
+oldest one):
+
+* the op-interleaved executor, :meth:`SpeculativeEngine._step`, drives
+  the operation coroutines of :mod:`repro.runtime.executor` -- one
+  operation per segment per round, age-ordered round-robin -- and
+  commits a finished head directly;
+* the batched executor, :class:`repro.runtime.batch.BatchExecutor`,
+  runs a whole attempt of a trace-compiled loop region per round and
+  validates it post hoc before commit (see that module).
 
 The two engines differ only in *routing*:
 
@@ -181,7 +196,14 @@ class SpeculativeResult:
 
 
 class _SegmentTask:
-    """One in-flight segment occurrence: coroutine + speculative state."""
+    """One in-flight segment occurrence and its current attempt.
+
+    The scheduler state (age, stall, restart budget, storage) is shared
+    by both attempt executors.  An op-interleaved task carries an
+    operation coroutine; a batched task (``spawn is None``) carries the
+    attempt's access logs instead, which the batched executor fills in
+    one go and the commit applies.
+    """
 
     __slots__ = (
         "key",
@@ -196,6 +218,10 @@ class _SegmentTask:
         "write_through",
         "buffer",
         "private",
+        "wlog",
+        "swlog",
+        "dwlog",
+        "rlog",
         "cycles",
         "restarts",
     )
@@ -205,26 +231,40 @@ class _SegmentTask:
         key: Tuple,
         segment_name: Optional[str],
         age: int,
-        spawn: Callable[[], SegmentCoroutine],
+        spawn: Optional[Callable[[], SegmentCoroutine]],
         buffer: SegmentBuffer,
     ):
         self.key = key
         self.segment_name = segment_name
         self.age = age
         self.spawn = spawn
-        self.coroutine = spawn()
+        self.coroutine = spawn() if spawn is not None else None
         #: Operation yielded but not yet completed (overflow retry point).
         self.current_op = None
         #: Value to send into the coroutine for the next operation.
         self.pending_value: Optional[float] = None
+        #: The attempt ran to its end (and, batched, logged everything).
         self.done = False
         self.stalled = False
         #: True once an overflowed segment, as the oldest, drained its
         #: buffer and continues non-speculatively.
         self.write_through = False
         self.buffer: Optional[SegmentBuffer] = buffer
-        #: Private frame for references routed ROUTE_PRIVATE (CASE).
+        #: Private frame for references routed ROUTE_PRIVATE (CASE),
+        #: flushed at commit.
         self.private: Dict[Address, float] = {}
+        #: Batched attempt logs.  ``wlog``: final value per written
+        #: address, speculative and direct routes, in program order (what
+        #: younger attempts forward from and the commit applies);
+        #: ``swlog``: speculative-route write addresses in first-write
+        #: order (the part of ``wlog`` that transfers into the buffer);
+        #: ``dwlog``: direct-route writes (what the attempt's own direct
+        #: reads see before commit); ``rlog``: exposed reads, address ->
+        #: (value, served speculatively), first serve wins.
+        self.wlog: Dict[Address, float] = {}
+        self.swlog: Dict[Address, None] = {}
+        self.dwlog: Dict[Address, float] = {}
+        self.rlog: Dict[Address, Tuple[float, bool]] = {}
         #: Cycles of the current attempt (moved to wasted_cycles on squash).
         self.cycles = 0
         #: Squash-restart cycles consumed by this occurrence (bounded by
@@ -233,7 +273,7 @@ class _SegmentTask:
 
 
 class SpeculativeEngine:
-    """Common scheduler of the speculative engines.
+    """The window scheduler of the speculative engines.
 
     Subclasses choose the reference routing via :meth:`_routes_for`;
     this base class routes everything through speculative storage
@@ -314,10 +354,10 @@ class SpeculativeEngine:
         self._age = 0
         #: uid -> route for the region currently executing.
         self._routes: Dict[str, str] = {}
-        #: Batched speculative replay (:mod:`repro.runtime.batch`): run
+        #: Batched attempt execution (:mod:`repro.runtime.batch`): run
         #: each eligible loop region's attempts as whole-segment batches
         #: with post-hoc validation instead of op-interleaving.  Off by
-        #: default -- the batched protocol is bit-identical in final
+        #: default -- the batched executor is bit-identical in final
         #: memory but has different micro-dynamics (fault-free runs
         #: validate instead of violating), so dynamics-sensitive
         #: consumers opt in explicitly.
@@ -558,7 +598,7 @@ class SpeculativeEngine:
         self,
         key: Tuple,
         segment_name: Optional[str],
-        spawn: Callable[[], SegmentCoroutine],
+        spawn: Optional[Callable[[], SegmentCoroutine]],
         stats: ExecutionStats,
     ) -> _SegmentTask:
         self._age += 1
@@ -578,22 +618,35 @@ class SpeculativeEngine:
         task: _SegmentTask,
         stats: ExecutionStats,
         by_age: Optional[int] = None,
+        fault: bool = False,
     ) -> None:
-        """Roll a violated segment back and re-execute it from scratch."""
+        """Roll an attempt back and re-execute it from scratch.
+
+        ``fault`` marks a recovery from an injected fault (a poison
+        scrub or a mid-attempt exception) rather than a violation.
+        """
         task.restarts += 1
         if self.max_restarts is not None and task.restarts > self.max_restarts:
             raise EngineLivelockError(
                 f"segment {task.key!r} exceeded the restart budget "
                 f"({self.max_restarts}); the window is not making progress"
             )
+        if fault:
+            stats.fault_restarts += 1
         stats.rollbacks += 1
         stats.wasted_cycles += task.cycles
         task.cycles = 0
         if task.buffer is not None:
             self.store.squash(task.buffer)
         task.private.clear()
-        task.coroutine.close()
-        task.coroutine = task.spawn()
+        if task.spawn is not None:
+            task.coroutine.close()
+            task.coroutine = task.spawn()
+        else:
+            task.wlog.clear()
+            task.swlog.clear()
+            task.dwlog.clear()
+            task.rlog.clear()
         task.current_op = None
         task.pending_value = None
         task.done = False
@@ -630,7 +683,7 @@ class SpeculativeEngine:
                     "engine.stall", category="engine", age=task.age
                 )
 
-    def _unstall_oldest(
+    def _drain(
         self, task: _SegmentTask, memory: MemoryImage, stats: ExecutionStats
     ) -> None:
         """Drain the overflowed oldest segment; it finishes write-through.
@@ -663,8 +716,14 @@ class SpeculativeEngine:
             entries = self.store.commit(task.buffer, memory)
             stats.commit_entries += entries
             task.buffer = None
+        # A batched attempt's write log holds its direct-route writes
+        # (which only exist in the log until now) and re-covers the
+        # buffered values with the same program-order final values.
+        store = memory.store
+        for address, value in task.wlog.items():
+            store(address, value)
         for address, value in task.private.items():
-            memory.store(address, value)
+            store(address, value)
         stats.segments_committed += 1
         self._committed_age = task.age
         self._rounds_since_commit = 0
@@ -703,7 +762,7 @@ class SpeculativeEngine:
                 self._restart(task, stats, by_age=writer.age)
 
     # ------------------------------------------------------------------
-    # one simulated operation of one segment
+    # the op-interleaved attempt executor: one simulated operation
     # ------------------------------------------------------------------
     def _charge(
         self,
@@ -743,6 +802,13 @@ class SpeculativeEngine:
         stats: ExecutionStats,
         active: List[_SegmentTask],
     ) -> None:
+        """Execute the task's next operation.
+
+        ``active`` is the window a write checks for violations; the
+        batched executor passes an empty one when it re-executes its
+        oldest attempt write-through, because it validates every younger
+        attempt at commit instead.
+        """
         if task.current_op is None:
             try:
                 task.current_op = task.coroutine.send(task.pending_value)
@@ -825,7 +891,8 @@ class SpeculativeEngine:
             else:
                 stats.speculative_accesses += 1
                 served = None
-            self._check_violations(task, address, active, stats)
+            if active:
+                self._check_violations(task, address, active, stats)
         else:
             buffer = task.buffer
             if not self.store.record_write(buffer, address, op.value):
@@ -846,13 +913,18 @@ class SpeculativeEngine:
         task.pending_value = None
         task.current_op = None
 
+    # ------------------------------------------------------------------
+    # the window scheduler
+    # ------------------------------------------------------------------
     def _round(
         self,
         active: List[_SegmentTask],
         memory: MemoryImage,
         stats: ExecutionStats,
+        batch,
     ) -> None:
-        """One scheduling round: each runnable segment executes one op.
+        """One scheduling round: each runnable task executes one attempt
+        step -- one operation op-interleaved, a whole attempt batched.
 
         With the resilience layer armed the round also (1) scrubs
         poisoned buffers *before* anything can drain them to memory,
@@ -870,17 +942,18 @@ class SpeculativeEngine:
                 f"no segment committed in {self.watchdog_rounds} "
                 f"scheduling rounds; the engine is not making progress"
             )
+        attempt = self._step if batch is None else batch.attempt
         for task in list(active):
+            if task.stalled and task is not active[0]:
+                stats.stall_rounds += 1
+                continue
             if task.done:
+                # A batched stalled head is done: retiring resolves it.
                 continue
             if task.stalled:
-                if active and task is active[0]:
-                    self._unstall_oldest(task, memory, stats)
-                else:
-                    stats.stall_rounds += 1
-                    continue
+                self._drain(task, memory, stats)
             try:
-                self._step(task, memory, stats, active)
+                attempt(task, memory, stats, active)
             except (FaultInjected, AddressError):
                 if self._injector is None or task.write_through:
                     # No injector: a genuine program error.  Write-
@@ -889,6 +962,9 @@ class SpeculativeEngine:
                     # double-apply them -- degrade instead.
                     raise
                 self._recover_fault(task, active, stats)
+                if batch is not None:
+                    # The restarted batched attempts rerun next round.
+                    break
         if self.auditor is not None:
             self.auditor.audit(
                 self.store, self._committed_age, region=self._region_name
@@ -922,8 +998,7 @@ class SpeculativeEngine:
         # hold values derived from the corrupted forward.
         for task in active:
             if task.age >= oldest_poisoned:
-                stats.fault_restarts += 1
-                self._restart(task, stats)
+                self._restart(task, stats, fault=True)
 
     def _recover_fault(
         self,
@@ -943,8 +1018,42 @@ class SpeculativeEngine:
             )
         for other in active:
             if other.age >= task.age:
-                stats.fault_restarts += 1
-                self._restart(other, stats)
+                self._restart(other, stats, fault=True)
+
+    def _run_window(
+        self,
+        active: List[_SegmentTask],
+        refill: Callable[[], None],
+        memory: MemoryImage,
+        stats: ExecutionStats,
+        batch=None,
+        resolve: Optional[Callable[[_SegmentTask], None]] = None,
+    ) -> None:
+        """Run one region's window to completion.
+
+        ``refill`` tops ``active`` up to the window size; ``batch`` is
+        the region's batched attempt executor (None = op-interleaved);
+        ``resolve`` sees each committed task before the refill (control
+        speculation uses it to check the predicted path).
+        """
+        refill()
+        while active:
+            self._round(active, memory, stats, batch)
+            while active and active[0].done:
+                # A poison detected on the round's last step must not
+                # slip into this commit window.
+                self._scrub_poisoned(active, stats)
+                head = active[0]
+                if not head.done:
+                    break
+                if batch is None:
+                    self._commit_task(head, memory, stats)
+                elif not batch.retire(head, memory, stats):
+                    break
+                active.pop(0)
+                if resolve is not None:
+                    resolve(head)
+                refill()
 
     # ------------------------------------------------------------------
     # loop regions
@@ -958,31 +1067,22 @@ class SpeculativeEngine:
         step = int(round(evaluate_expression(region.step, reader)))
         if step == 0:
             raise SimulationError(f"region {region.name!r} has zero step")
+        iterations = range(lower, upper + (1 if step > 0 else -1), step)
 
-        if (
-            self.batch
-            and self.op_budget is None
-            and self.hierarchy is None
-        ):
-            from repro.runtime.batch import try_run_batched
+        batch = None
+        if self.batch and self.op_budget is None and self.hierarchy is None:
+            from repro.runtime.batch import batch_executor
 
-            if try_run_batched(self, region, memory, stats, lower, upper, step):
-                return
+            batch = batch_executor(self, region, memory, iterations)
 
-        def iteration_values():
-            value = lower
-            while (step > 0 and value <= upper) or (step < 0 and value >= upper):
-                yield value
-                value += step
-
-        values = iteration_values()
         body = region.body
         index = region.index
         op_budget = self.op_budget
-
         compute_cost = self._compute_cost
 
-        def spawn_for(value: int) -> Callable[[], SegmentCoroutine]:
+        def spawn_for(value: int) -> Optional[Callable[[], SegmentCoroutine]]:
+            if batch is not None:
+                return None
             return lambda: segment_coroutine(
                 body,
                 locals_in_scope={index: value},
@@ -990,6 +1090,7 @@ class SpeculativeEngine:
                 compute_cost=compute_cost,
             )
 
+        values = iter(iterations)
         active: List[_SegmentTask] = []
 
         def refill() -> None:
@@ -1003,17 +1104,18 @@ class SpeculativeEngine:
                     )
                 )
 
-        refill()
-        while active:
-            self._round(active, memory, stats)
-            while active and active[0].done:
-                # A poison detected on the round's last step must not
-                # slip into this commit window.
-                self._scrub_poisoned(active, stats)
-                if not active[0].done:
-                    break
-                self._commit_task(active.pop(0), memory, stats)
-                refill()
+        if batch is None or self._obs is None:
+            self._run_window(active, refill, memory, stats, batch)
+            return
+        with self._obs.span(
+            "engine.batch",
+            category="engine",
+            region=region.name,
+            engine=self.engine_name,
+            tasks=len(iterations),
+            ops_per_attempt=batch.program.batched_ops,
+        ):
+            self._run_window(active, refill, memory, stats, batch)
 
     # ------------------------------------------------------------------
     # explicit regions (control speculation)
@@ -1071,54 +1173,46 @@ class SpeculativeEngine:
                 )
                 fill_from = predicted_successor(name)
 
-        refill()
-        while active:
-            self._round(active, memory, stats)
-            while active and active[0].done:
-                # A poison detected on the round's last step must not
-                # slip into this commit window.
-                self._scrub_poisoned(active, stats)
-                if not active[0].done:
-                    break
-                task = active.pop(0)
-                self._commit_task(task, memory, stats)
-                committed += 1
-                if committed > MAX_EXPLICIT_STEPS:
-                    raise EngineLivelockError(
-                        f"explicit region {region.name!r} exceeded "
-                        f"{MAX_EXPLICIT_STEPS} segment executions"
-                    )
-                # Resolve the actual successor against committed state,
-                # exactly as the sequential interpreter does.
-                successors = edges.get(task.segment_name, [])
-                if not successors:
-                    actual: Optional[str] = None
+        def resolve(task: _SegmentTask) -> None:
+            """Check the predicted path against the committed segment."""
+            nonlocal fill_from, committed
+            committed += 1
+            if committed > MAX_EXPLICIT_STEPS:
+                raise EngineLivelockError(
+                    f"explicit region {region.name!r} exceeded "
+                    f"{MAX_EXPLICIT_STEPS} segment executions"
+                )
+            # Resolve the actual successor against committed state,
+            # exactly as the sequential interpreter does.
+            successors = edges.get(task.segment_name, [])
+            if not successors:
+                actual: Optional[str] = None
+            else:
+                segment = region.segment(task.segment_name)
+                if len(successors) > 1 and segment.branch is not None:
+                    taken = evaluate_expression(segment.branch, memory.read)
+                    actual = successors[0] if taken else successors[1]
                 else:
-                    segment = region.segment(task.segment_name)
-                    if len(successors) > 1 and segment.branch is not None:
-                        taken = evaluate_expression(segment.branch, memory.read)
-                        actual = successors[0] if taken else successors[1]
-                    else:
-                        actual = successors[0]
-                    if actual == EXIT_NODE:
-                        actual = None
-                # The predicted next segment is the head of the remaining
-                # in-flight window, or -- when the window drained -- the
-                # segment the prediction would spawn next.
-                predicted = active[0].segment_name if active else fill_from
-                if actual == predicted:
-                    refill()
-                    continue
-                # Control misprediction: the speculated path is wrong.
-                # (An empty window means nothing was executed down the
-                # wrong path, so nothing counts as mispredicted.)
-                if active:
-                    stats.control_mispredictions += 1
-                    for wrong in active:
-                        self._discard(wrong, stats)
-                    active.clear()
-                fill_from = actual
-                refill()
+                    actual = successors[0]
+                if actual == EXIT_NODE:
+                    actual = None
+            # The predicted next segment is the head of the remaining
+            # in-flight window, or -- when the window drained -- the
+            # segment the prediction would spawn next.
+            predicted = active[0].segment_name if active else fill_from
+            if actual == predicted:
+                return
+            # Control misprediction: the speculated path is wrong.
+            # (An empty window means nothing was executed down the
+            # wrong path, so nothing counts as mispredicted.)
+            if active:
+                stats.control_mispredictions += 1
+                for wrong in active:
+                    self._discard(wrong, stats)
+                active.clear()
+            fill_from = actual
+
+        self._run_window(active, refill, memory, stats, resolve=resolve)
 
 
 def _has_cycle(region: ExplicitRegion) -> bool:

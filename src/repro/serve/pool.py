@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 #: Queue sentinel that tells a worker to exit.
 _STOP = object()
@@ -33,7 +33,11 @@ class WorkerPool:
     Jobs are zero-argument callables that own their whole lifecycle
     (dispatch + response write + error handling); a job that raises
     is swallowed after accounting so one bad request never kills a
-    worker.
+    worker.  A job may return a follow-up callable -- the response
+    write -- which runs after the job's admission slot is released, so
+    a client that sends its next request as soon as it reads a
+    response is never refused for the slot of the request it just saw
+    answered.
     """
 
     def __init__(self, workers: int = 4, max_inflight: int = 8):
@@ -65,7 +69,7 @@ class WorkerPool:
     def workers(self) -> int:
         return len(self._threads)
 
-    def submit(self, job: Callable[[], None]) -> None:
+    def submit(self, job: Callable[[], Optional[Callable[[], None]]]) -> None:
         """Enqueue ``job``; raise :class:`PoolSaturated` over the bound."""
         with self._lock:
             if self._closed:
@@ -93,8 +97,9 @@ class WorkerPool:
             job = self._queue.get()
             if job is _STOP:
                 return
+            then = None
             try:
-                job()
+                then = job()
             except Exception:  # noqa: BLE001 -- jobs own their errors;
                 # a late write to a disconnected client must not kill
                 # the worker thread.
@@ -102,3 +107,8 @@ class WorkerPool:
             finally:
                 with self._lock:
                     self._inflight -= 1
+            if then is not None:
+                try:
+                    then()
+                except Exception:  # noqa: BLE001 -- as above
+                    pass

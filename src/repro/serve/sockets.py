@@ -111,10 +111,13 @@ class Session:
         LOG.debug("session closed", session=self.name)
 
     # ------------------------------------------------------------------
-    def _respond(self, request: Request) -> None:
+    def _respond(self, request: Request) -> Optional[Callable[[], None]]:
+        """Pool job: dispatch now, write the response once the pool has
+        released the request's admission slot."""
         response = self.dispatcher.dispatch(request)
-        if not request.notification:
-            self._write(response)
+        if request.notification:
+            return None
+        return lambda: self._write(response)
 
     def _write(self, payload) -> None:
         data = encode_line(payload)
@@ -206,6 +209,12 @@ class TCPServer:
             return
         self.stopped.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutting the socket down first does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -391,6 +391,34 @@ class TestTCPServer:
             for client in clients:
                 client.close()
 
+    def test_pipelining_on_responses_is_never_refused(self):
+        # One admission slot: a client that sends its next request the
+        # moment it reads a response must always find the slot free --
+        # the pool releases it before the response is written.
+        dispatcher = Dispatcher()
+        pool = WorkerPool(workers=1, max_inflight=1)
+        tcp = TCPServer(dispatcher, pool)
+        tcp.start()
+        client = _Client(tcp.port)
+        try:
+            for _ in range(300):
+                response = client.call("ping")
+                assert "error" not in response, response
+        finally:
+            client.close()
+            tcp.shutdown()
+            pool.close()
+
+    def test_shutdown_is_prompt(self, server):
+        # The accept thread is blocked in accept(); shutdown must wake
+        # it rather than wait out its join timeout.
+        client = _Client(server.port)
+        client.call("ping")
+        client.close()
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+
     def test_shutdown_request_stops_server(self, server):
         client = _Client(server.port)
         try:
