@@ -17,7 +17,10 @@ Two execution paths produce identical operation streams:
   every iteration, bypassing AST re-interpretation.
 
 ``use_replay=False`` (the benchmark harness's ``--no-fast-path``)
-forces the interpreter path everywhere.
+forces the interpreter path everywhere.  A ``compute_cost`` latency hook
+(how the timing model prices a sequential run) does not: replay prices
+each recorded assignment with the hook once, at record time, so both
+paths yield the same cycles.
 """
 
 from __future__ import annotations
@@ -132,15 +135,13 @@ class SequentialInterpreter:
         #: "compute" -- how the timing model prices a sequential run.
         self.op_hook = op_hook
         #: Optional executor latency hook (see
-        #: :class:`repro.runtime.executor.ExecContext`); replay bakes
-        #: default compute costs into traces, so a custom hook forces
-        #: the interpreter path.
+        #: :class:`repro.runtime.executor.ExecContext`); both execution
+        #: paths honour it (replay prices each recorded assignment with
+        #: it when the trace is recorded).
         self.compute_cost = compute_cost
         #: Optional :class:`ExecutionObserver` fed every segment
         #: instance and memory operation (both execution paths).
         self.observer = observer
-        if compute_cost is not None:
-            self.use_replay = False
         self.hierarchy = MemoryHierarchy(latencies=latencies)
         self._traces: Dict[str, Optional[SegmentTrace]] = {}
 
@@ -289,7 +290,9 @@ class SequentialInterpreter:
             # body walk); an ineligible or oversized body raises.
             try:
                 trace = record_trace(
-                    region, resolve=lambda name: memory.read(name, ())
+                    region,
+                    resolve=lambda name: memory.read(name, ()),
+                    compute_cost=self.compute_cost,
                 )
                 reason = "replayed"
             except TraceError as exc:

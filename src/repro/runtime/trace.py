@@ -381,9 +381,17 @@ def _compile_arith(
 
 
 def compile_assign(
-    stmt: Assign, local_names: Set[str], region_index: str
+    stmt: Assign,
+    local_names: Set[str],
+    region_index: str,
+    compute_cost: Optional[Callable] = None,
 ) -> CompiledAssign:
-    """Compile ``stmt`` once; shared by every recorded instance of it."""
+    """Compile ``stmt`` once; shared by every recorded instance of it.
+
+    ``compute_cost`` is the executor's optional ``(stmt, expr) -> cycles``
+    latency hook; the statement's cost op is priced with it once here,
+    exactly as the interpreter would price every execution.
+    """
     refs = iter(stmt.reads or [])
     read_specs: List[Tuple] = []
     arith: List[Instruction] = []
@@ -418,7 +426,11 @@ def compile_assign(
         arith_program=arith,
         arith_fn=codegen_arith(arith),
         needs_env=needs_env,
-        cost_op=ComputeOp(_compute_cost(stmt, stmt.rhs)),
+        cost_op=ComputeOp(
+            _compute_cost(stmt, stmt.rhs)
+            if compute_cost is None
+            else compute_cost(stmt, stmt.rhs)
+        ),
         target=stmt.target,
         target_dims=target_dims,
         write_ref=stmt.write,
@@ -438,7 +450,10 @@ _N_DO = 2      # (_N_DO, stmt, body_nodes)
 
 
 def _build_tree(
-    body: Sequence[Statement], scope: Set[str], region_index: str
+    body: Sequence[Statement],
+    scope: Set[str],
+    region_index: str,
+    compute_cost: Optional[Callable] = None,
 ) -> List[Tuple]:
     """Precompile ``body`` into a parallel tree of statement nodes.
 
@@ -451,15 +466,19 @@ def _build_tree(
     for stmt in body:
         if isinstance(stmt, Assign):
             nodes.append(
-                (_N_ASSIGN, stmt, compile_assign(stmt, scope, region_index))
+                (
+                    _N_ASSIGN,
+                    stmt,
+                    compile_assign(stmt, scope, region_index, compute_cost),
+                )
             )
         elif isinstance(stmt, If):
             nodes.append(
                 (
                     _N_IF,
                     stmt,
-                    _build_tree(stmt.then_body, scope, region_index),
-                    _build_tree(stmt.else_body, scope, region_index),
+                    _build_tree(stmt.then_body, scope, region_index, compute_cost),
+                    _build_tree(stmt.else_body, scope, region_index, compute_cost),
                 )
             )
         elif isinstance(stmt, Do):
@@ -467,7 +486,9 @@ def _build_tree(
                 (
                     _N_DO,
                     stmt,
-                    _build_tree(stmt.body, scope | {stmt.index}, region_index),
+                    _build_tree(
+                        stmt.body, scope | {stmt.index}, region_index, compute_cost
+                    ),
                 )
             )
         else:  # pragma: no cover - defensive
@@ -643,11 +664,16 @@ def record_trace(
     region: LoopRegion,
     resolve: Callable[[str], float],
     read_only: Optional[Set[str]] = None,
+    compute_cost: Optional[Callable] = None,
 ) -> SegmentTrace:
     """Record the replayable schedule of ``region``'s body.
 
     ``resolve(name)`` supplies the value of a read-only scalar at record
-    time (the sequential driver passes a direct memory read).  Call
+    time (the sequential driver passes a direct memory read).
+    ``compute_cost`` is the executor's optional latency hook: assignment
+    cost ops are priced with it at compile time, so the replayed op
+    stream carries the caller's cycles (control computes stay one
+    cycle, as in the interpreter).  Call
     :func:`trace_eligibility` first; recording an ineligible body raises
     :class:`TraceError`.
     """
@@ -660,7 +686,7 @@ def record_trace(
     # Precompile the whole body once into a parallel tree; the unrolled
     # recording walk below then emits from prebuilt CompiledAssigns with
     # no per-op dict lookups at all.
-    tree = _build_tree(region.body, set(), region.index)
+    tree = _build_tree(region.body, set(), region.index, compute_cost)
 
     def emit_assign(ca: CompiledAssign, env: Dict[str, float]) -> None:
         reads_folded: List = []

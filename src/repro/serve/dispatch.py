@@ -15,6 +15,14 @@ owns the two cross-request resources:
   a bounded LRU; eviction invalidates the program's cache entries so
   neither side grows without bound.
 
+Each interner entry also holds the program's **sequential reference**
+-- ``(baseline_cycles, SequentialResult)`` from
+:func:`~repro.timing.makespan.sequential_baseline` -- filled by the
+first ``simulate`` or ``speedup_sweep`` and evicted with the program.
+The reference is a pure function of the immutable program, so later
+requests reuse it; every request still compares its own engine run
+against the reference memory bit for bit.
+
 Every response result carries a ``meta`` object:
 ``{"elapsed_ms", "cache": {"hits", "misses"}}`` -- the wall time of
 the handler and the analysis-cache delta attributable to the request.
@@ -22,7 +30,9 @@ With the :mod:`repro.obs` registry collecting (the daemon arms it at
 startup), the delta is scoped by snapshotting the process-wide
 ``analysis.cache.hits``/``misses`` counters around the handler, and
 the registry additionally accumulates ``serve.requests``,
-``serve.errors`` and a ``serve.request_ms`` histogram.  Deltas are
+``serve.errors``, ``serve.reference.hits``/``misses`` (whether a verdict
+reused the reference or paid for a sequential run) and a
+``serve.request_ms`` histogram.  Deltas are
 per-process counters sampled around one handler, so concurrent
 requests can bleed into each other's delta -- they are a throughput
 diagnostic, not an exact attribution.
@@ -34,6 +44,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro._version import __version__
@@ -44,7 +55,7 @@ from repro.ir.dsl import DSLSyntaxError, parse_program
 from repro.ir.program import Program
 from repro.obs.metrics import metrics_registry
 from repro.runtime.engines import CASEEngine, HOSEEngine
-from repro.runtime.interpreter import SequentialInterpreter
+from repro.runtime.interpreter import SequentialResult
 from repro.serve.protocol import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
@@ -68,6 +79,20 @@ DEFAULT_MAX_PROGRAMS = 64
 #: client cannot park a worker for long.
 MAX_SLEEP_SECONDS = 2.0
 
+#: A program's sequential reference: cost-modelled baseline cycles and
+#: the sequential result whose memory every verdict is checked against.
+Reference = Tuple[int, SequentialResult]
+
+
+class _Interned:
+    """One interner entry: the program and its memoized reference."""
+
+    __slots__ = ("program", "reference")
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.reference: Optional[Reference] = None
+
 
 class Dispatcher:
     """Maps parsed requests to handlers over shared daemon state."""
@@ -81,7 +106,7 @@ class Dispatcher:
             raise ValueError("max_programs must be >= 1")
         self.cache = cache if cache is not None else AnalysisCache()
         self.max_programs = max_programs
-        self._programs: "OrderedDict[str, Program]" = OrderedDict()
+        self._programs: "OrderedDict[str, _Interned]" = OrderedDict()
         self._programs_lock = threading.Lock()
         self._registry = metrics_registry()
         self.started = time.time()
@@ -169,14 +194,11 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # program interning
     # ------------------------------------------------------------------
-    def resolve_program(self, params: Dict[str, Any]) -> Program:
-        """The interned :class:`Program` of ``params``.
-
-        ``params`` must carry exactly one of ``dsl`` (source text) or
-        ``program`` (JSON IR).  Identical submissions return the same
-        object, which is what turns the shared analysis cache into
-        cross-request warm hits.
-        """
+    @staticmethod
+    def _intern_key(
+        params: Dict[str, Any]
+    ) -> Tuple[str, Callable[[], Program]]:
+        """The interner key of ``params`` and a builder of its program."""
         dsl = params.get("dsl")
         ir = params.get("program")
         if (dsl is None) == (ir is None):
@@ -189,19 +211,30 @@ class Dispatcher:
             if not isinstance(dsl, str):
                 raise ProtocolError(INVALID_PARAMS, "'dsl' must be a string")
             key = "dsl:" + dsl
-            build: Callable[[], Program] = lambda: parse_program(dsl)
+            build: Callable[[], Program] = partial(parse_program, dsl)
         else:
             if not isinstance(ir, dict):
                 raise ProtocolError(
                     INVALID_PARAMS, "'program' must be a JSON IR object"
                 )
             key = "ir:" + json.dumps(ir, sort_keys=True, separators=(",", ":"))
-            build = lambda: program_from_json(ir)
+            build = partial(program_from_json, ir)
+        return key, build
+
+    def resolve_program(self, params: Dict[str, Any]) -> Program:
+        """The interned :class:`Program` of ``params``.
+
+        ``params`` must carry exactly one of ``dsl`` (source text) or
+        ``program`` (JSON IR).  Identical submissions return the same
+        object, which is what turns the shared analysis cache into
+        cross-request warm hits.
+        """
+        key, build = self._intern_key(params)
         with self._programs_lock:
-            program = self._programs.get(key)
-            if program is not None:
+            entry = self._programs.get(key)
+            if entry is not None:
                 self._programs.move_to_end(key)
-                return program
+                return entry.program
         # Parse outside the lock (same rationale as the analysis
         # cache: a big program must not block other sessions), then
         # first insert wins.
@@ -210,20 +243,70 @@ class Dispatcher:
             existing = self._programs.get(key)
             if existing is not None:
                 self._programs.move_to_end(key)
-                return existing
-            self._programs[key] = program
+                return existing.program
+            self._programs[key] = _Interned(program)
             evicted = []
             while len(self._programs) > self.max_programs:
                 _, old = self._programs.popitem(last=False)
                 evicted.append(old)
+        # Popping an entry drops its sequential reference with it; the
+        # analysis cache is keyed by region, so it is invalidated here.
         for old in evicted:
-            for region in old.regions:
+            for region in old.program.regions:
                 self.cache.invalidate(region)
         return program
 
     def interned_programs(self) -> int:
         with self._programs_lock:
             return len(self._programs)
+
+    def references(self) -> int:
+        """Interned programs whose sequential reference is memoized."""
+        with self._programs_lock:
+            return sum(
+                entry.reference is not None for entry in self._programs.values()
+            )
+
+    def _reference(self, params: Dict[str, Any], program: Program) -> Reference:
+        """The sequential reference of ``program``, resolved from ``params``.
+
+        Computed outside the lock on first use (a long sequential run
+        must not block other sessions); the first insert wins.  A
+        program evicted meanwhile gets a fresh reference that is not
+        stored, so the memo never outlives its interner entry.
+        """
+        key, _ = self._intern_key(params)
+        with self._programs_lock:
+            entry = self._programs.get(key)
+            if entry is not None and entry.program is not program:
+                entry = None
+            reference = entry.reference if entry is not None else None
+        collecting = self._registry.collecting
+        if reference is not None:
+            if collecting:
+                self._registry.counter("serve.reference.hits").inc()
+            return reference
+        if collecting:
+            self._registry.counter("serve.reference.misses").inc()
+        reference = sequential_baseline(program, DEFAULT_COST_MODEL)
+        if entry is not None:
+            with self._programs_lock:
+                if entry.reference is not None:
+                    reference = entry.reference
+                elif self._programs.get(key) is entry:
+                    entry.reference = reference
+        return reference
+
+    @staticmethod
+    def _window_capacity(params: Dict[str, Any]) -> Tuple[int, Optional[int]]:
+        """The engine ``window`` (>= 1) and ``capacity`` of a run request."""
+        window = int(params.get("window", 4))
+        if window < 1:
+            raise ProtocolError(INVALID_PARAMS, "'window' must be an int >= 1")
+        capacity = params.get("capacity", 64)
+        if capacity is not None:
+            capacity = int(capacity)
+        return window, capacity
 
     def _region_of(self, program: Program, params: Dict[str, Any]):
         name = params.get("region")
@@ -310,10 +393,7 @@ class Dispatcher:
                 f"unknown engine {engine_name!r}",
                 data={"engines": sorted(ENGINES)},
             )
-        window = int(params.get("window", 4))
-        capacity = params.get("capacity", 64)
-        if capacity is not None:
-            capacity = int(capacity)
+        window, capacity = self._window_capacity(params)
         kwargs: Dict[str, Any] = {
             "window": window,
             "capacity": capacity,
@@ -322,7 +402,7 @@ class Dispatcher:
         if engine_cls is CASEEngine:
             kwargs["cache"] = self.cache
         result = engine_cls(program, **kwargs).run()
-        sequential = SequentialInterpreter(program).run()
+        _, sequential = self._reference(params, program)
         bit_identical = not sequential.memory.differences(
             result.memory, tolerance=0.0
         )
@@ -355,16 +435,26 @@ class Dispatcher:
         if (
             not isinstance(processors, list)
             or not processors
-            or not all(isinstance(p, int) and p >= 1 for p in processors)
+            or not all(
+                isinstance(p, int) and not isinstance(p, bool) and p >= 1
+                for p in processors
+            )
         ):
             raise ProtocolError(
                 INVALID_PARAMS, "'processors' must be a list of ints >= 1"
             )
-        window = int(params.get("window", 4))
-        capacity = params.get("capacity", 64)
-        if capacity is not None:
-            capacity = int(capacity)
+        window, capacity = self._window_capacity(params)
         engine_names = params.get("engines", ["hose", "case"])
+        if (
+            not isinstance(engine_names, list)
+            or not engine_names
+            or not all(isinstance(e, str) for e in engine_names)
+        ):
+            raise ProtocolError(
+                INVALID_PARAMS,
+                "'engines' must be a non-empty list of engine names",
+                data={"engines": sorted(ENGINES)},
+            )
         unknown = [e for e in engine_names if e not in ENGINES]
         if unknown:
             raise ProtocolError(
@@ -372,7 +462,7 @@ class Dispatcher:
                 f"unknown engines {unknown!r}",
                 data={"engines": sorted(ENGINES)},
             )
-        baseline, sequential = sequential_baseline(program, DEFAULT_COST_MODEL)
+        baseline, sequential = self._reference(params, program)
         engines: Dict[str, Any] = {}
         for name in engine_names:
             engine_cls = ENGINES[name]
@@ -422,6 +512,7 @@ class Dispatcher:
             "uptime_seconds": round(time.time() - self.started, 3),
             "cache": self.cache.stats(),
             "interned_programs": self.interned_programs(),
+            "references": self.references(),
             "methods": list(self.methods),
         }
 

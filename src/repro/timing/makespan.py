@@ -170,7 +170,9 @@ def sequential_baseline(
     the baseline all speedups are measured against.  The returned
     result's memory is the ground truth for engine equivalence checks
     (compute costs never affect values), so callers that need both pay
-    a single execution.
+    a single execution.  Eligible loop regions run on the trace-replay
+    fast path, which prices recorded assignments with the same cost
+    model, so the total equals the interpreter path's.
     """
     from repro.runtime.interpreter import SequentialInterpreter
 
@@ -178,7 +180,6 @@ def sequential_baseline(
     summer = _CostSummer(cost)
     result = SequentialInterpreter(
         program,
-        use_replay=False,
         model_latency=False,
         op_hook=summer,
         compute_cost=cost.compute_cost_fn(),

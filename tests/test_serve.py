@@ -19,6 +19,9 @@ import time
 import pytest
 
 import repro
+from repro.obs.metrics import metrics_registry
+from repro.runtime.engines import HOSEEngine
+from repro.serve import dispatch as dispatch_module
 from repro.serve.dispatch import Dispatcher
 from repro.serve.pool import PoolSaturated, WorkerPool
 from repro.serve.protocol import (
@@ -216,6 +219,124 @@ class TestDispatcher:
         for source in sources:
             dispatcher.dispatch(rpc(1, "analyze", {"dsl": source}))
         assert dispatcher.interned_programs() == 2
+
+    @pytest.mark.parametrize("method", ["simulate", "speedup_sweep"])
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_is_rejected(self, method, window):
+        response = Dispatcher().dispatch(
+            rpc(8, method, {"dsl": DSL, "window": window})
+        )
+        assert response["error"]["code"] == INVALID_PARAMS
+        assert "window" in response["error"]["message"]
+
+    @pytest.mark.parametrize("engines", ["case", 5, [], ["case", 1]])
+    def test_sweep_engines_must_be_a_list_of_names(self, engines):
+        response = Dispatcher().dispatch(
+            rpc(9, "speedup_sweep", {"dsl": DSL, "engines": engines})
+        )
+        assert response["error"]["code"] == INVALID_PARAMS
+        assert "'engines' must be" in response["error"]["message"]
+
+    def test_sweep_processors_reject_bools(self):
+        response = Dispatcher().dispatch(
+            rpc(10, "speedup_sweep", {"dsl": DSL, "processors": [True]})
+        )
+        assert response["error"]["code"] == INVALID_PARAMS
+
+
+class _PerturbedHOSE:
+    """A HOSE engine whose final memory differs at one address."""
+
+    def __init__(self, program, **kwargs):
+        self.engine = HOSEEngine(program, **kwargs)
+
+    def run(self):
+        result = self.engine.run()
+        result.memory.write("s", result.memory.read("s") + 1.0)
+        return result
+
+
+@pytest.fixture
+def collecting_registry():
+    registry = metrics_registry()
+    registry.reset()
+    registry.enable()
+    yield registry
+    registry.disable()
+    registry.reset()
+
+
+class TestSequentialReference:
+    """One memoized reference per interned program; verdicts stay live."""
+
+    def test_reference_is_computed_once_and_reported(self, collecting_registry):
+        dispatcher = Dispatcher()
+        for method in ("simulate", "speedup_sweep", "simulate"):
+            response = dispatcher.dispatch(rpc(1, method, {"dsl": DSL}))
+            assert "error" not in response, response
+        counters = collecting_registry.snapshot()["counters"]
+        assert counters["serve.reference.misses"] == 1
+        assert counters["serve.reference.hits"] == 2
+        metrics = dispatcher.dispatch(rpc(2, "metrics"))["result"]
+        assert metrics["references"] == metrics["interned_programs"] == 1
+
+    def test_warm_verdicts_still_compare(self, monkeypatch):
+        dispatcher = Dispatcher()
+        warm = dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL, "engine": "hose"}))
+        assert warm["result"]["bit_identical"] is True
+        assert dispatcher.references() == 1
+        monkeypatch.setitem(dispatch_module.ENGINES, "hose", _PerturbedHOSE)
+        simulate = dispatcher.dispatch(
+            rpc(2, "simulate", {"dsl": DSL, "engine": "hose"})
+        )
+        assert simulate["result"]["bit_identical"] is False
+        sweep = dispatcher.dispatch(
+            rpc(3, "speedup_sweep", {"dsl": DSL, "engines": ["hose", "case"]})
+        )
+        engines = sweep["result"]["engines"]
+        assert engines["hose"]["bit_identical"] is False
+        assert engines["case"]["bit_identical"] is True
+
+    def test_eviction_drops_the_reference(self):
+        dispatcher = Dispatcher(max_programs=2)
+        sources = [DSL.replace("served", f"served{i}") for i in range(4)]
+        for source in sources[:2]:
+            dispatcher.dispatch(rpc(1, "simulate", {"dsl": source}))
+        assert dispatcher.references() == 2
+        for source in sources[2:]:
+            dispatcher.dispatch(rpc(2, "analyze", {"dsl": source}))
+            assert dispatcher.references() <= dispatcher.interned_programs()
+        assert dispatcher.interned_programs() == 2
+        assert dispatcher.references() == 0
+
+    def test_concurrent_first_requests_store_one_reference(self, monkeypatch):
+        threads = 6
+        barrier = threading.Barrier(threads)
+        calls = []
+        baseline = dispatch_module.sequential_baseline
+
+        def racing_baseline(program, cost):
+            # Every thread misses before any of them stores.
+            calls.append(program)
+            barrier.wait(timeout=10)
+            return baseline(program, cost)
+
+        monkeypatch.setattr(dispatch_module, "sequential_baseline", racing_baseline)
+        dispatcher = Dispatcher()
+        verdicts = []
+
+        def simulate():
+            response = dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL}))
+            verdicts.append(response["result"]["bit_identical"])
+
+        workers = [threading.Thread(target=simulate) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert verdicts == [True] * threads
+        assert len(calls) == threads
+        assert dispatcher.references() == 1
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,18 @@ from repro.bench.speedup import (
     measure_speedup_family,
 )
 from repro.bench.workloads import FAMILIES, generate
+from repro.corpus import generate_program
 from repro.ir.dsl import parse_program
+from repro.ir.region import LoopRegion
 from repro.runtime.engines import HOSEEngine
-from repro.runtime.interpreter import run_program
+from repro.runtime.interpreter import SequentialInterpreter, run_program
+from repro.runtime.trace import trace_eligibility
 from repro.timing import (
+    DEFAULT_COST_MODEL,
     CostModel,
     TimingRecorder,
     compute_makespan,
+    sequential_baseline,
     sequential_cycles,
     speculative_makespan,
 )
@@ -131,6 +136,54 @@ class TestSequentialBaseline:
         cheap = sequential_cycles(workload.program, CostModel(memory_latency=1))
         dear = sequential_cycles(workload.program, CostModel(memory_latency=50))
         assert dear > cheap
+
+
+def interpreted_baseline(program, cost):
+    """``sequential_baseline`` with the trace-replay fast path disabled."""
+    total = [0]
+
+    def summer(kind, cycles):
+        total[0] += cost.op_cost(kind, cycles)
+
+    result = SequentialInterpreter(
+        program,
+        use_replay=False,
+        model_latency=False,
+        op_hook=summer,
+        compute_cost=cost.compute_cost_fn(),
+    ).run()
+    return total[0], result
+
+
+BASELINE_PROGRAMS = [
+    (family, generate(family, 12, 4).program) for family in FAMILIES
+] + [(f"corpus-{index}", generate_program(20260807, index)) for index in range(40)]
+
+
+class TestReplayPricedBaseline:
+    """The baseline runs on replay and prices exactly like the interpreter."""
+
+    @pytest.mark.parametrize(
+        "cost",
+        [DEFAULT_COST_MODEL, CostModel(mul_weight=5, div_weight=3, call_weight=11)],
+        ids=["default", "reweighted"],
+    )
+    def test_replay_matches_interpreter(self, cost):
+        replayed = 0
+        for name, program in BASELINE_PROGRAMS:
+            cycles, fast = sequential_baseline(program, cost)
+            slow_cycles, slow = interpreted_baseline(program, cost)
+            assert cycles == slow_cycles, name
+            assert fast.memory.snapshot() == slow.memory.snapshot(), name
+            assert fast.stats.reads == slow.stats.reads, name
+            assert fast.stats.writes == slow.stats.writes, name
+            assert fast.stats.cycles == slow.stats.cycles, name
+            for region in program.regions:
+                if isinstance(region, LoopRegion):
+                    eligible = trace_eligibility(region)[0]
+                    assert fast.replayed_regions[region.name] == eligible, name
+                    replayed += eligible
+        assert replayed >= len(FAMILIES)
 
 
 # ----------------------------------------------------------------------
