@@ -38,7 +38,17 @@ keeps the analysis conservative (a missed coverage only makes a read
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.ir.expr import BinOp, Const, Expr, Index, UnaryOp, Var, const_int
 from repro.ir.reference import MemoryReference
@@ -210,7 +220,7 @@ def _loop_bounds(do: Do) -> Optional[Tuple[int, int]]:
 
 def reference_dims(
     ref: MemoryReference,
-    expand_loops: Set[Do],
+    expand_loops: Collection[Do],
     region_index: Optional[str],
     read_only_vars: Set[str],
 ) -> Tuple[Dim, ...]:
@@ -263,6 +273,11 @@ def reference_dims(
     return tuple(dims)
 
 
+#: ``dims(ref, expand_loops)``: the :func:`reference_dims` of ``ref``
+#: with ``expand_loops`` expanded (region index and read-only set fixed).
+DimsOf = Callable[[MemoryReference, Tuple[Do, ...]], Tuple[Dim, ...]]
+
+
 def write_covers_read(
     write: MemoryReference,
     read: MemoryReference,
@@ -276,6 +291,15 @@ def write_covers_read(
     Both references must be to the same variable, the write must precede
     the read in program order and must execute unconditionally.
     """
+    return _covers(
+        write,
+        read,
+        lambda ref, expand: reference_dims(ref, expand, region_index, read_only_vars),
+    )
+
+
+def _covers(write: MemoryReference, read: MemoryReference, dims: DimsOf) -> bool:
+    """:func:`write_covers_read` with the dimension abstraction ``dims``."""
     if write.variable != read.variable:
         return False
     if write.order >= read.order:
@@ -286,13 +310,12 @@ def write_covers_read(
         return False
     if not write.subscripts:  # scalar: unconditional earlier write covers
         return True
-    shared = set(write.enclosing_loops) & set(read.enclosing_loops)
-    write_dims = reference_dims(
-        write, set(write.enclosing_loops) - shared, region_index, read_only_vars
-    )
-    read_dims = reference_dims(
-        read, set(read.enclosing_loops) - shared, region_index, read_only_vars
-    )
+    # Loops enclosing only one of the two references are expanded; the
+    # shared ones stay symbolic.
+    write_loops = write.enclosing_loops
+    read_loops = read.enclosing_loops
+    write_dims = dims(write, tuple(do for do in write_loops if do not in read_loops))
+    read_dims = dims(read, tuple(do for do in read_loops if do not in write_loops))
     return all(_dim_contains(w, r) for w, r in zip(write_dims, read_dims))
 
 
@@ -373,14 +396,27 @@ def summarize_segment(
                 info.has_unconditional_write = True
 
     # Coverage: pairwise check of each read against earlier unconditional
-    # writes to the same variable.
+    # writes to the same variable.  A reference's dimensions depend only
+    # on which of its loops are expanded, so each (reference, expanded
+    # loops) abstraction is computed once per segment.
+    dims_memo: Dict[Tuple[str, Tuple[Do, ...]], Tuple[Dim, ...]] = {}
+
+    def dims(ref: MemoryReference, expand: Tuple[Do, ...]) -> Tuple[Dim, ...]:
+        key = (ref.uid, expand)
+        cached = dims_memo.get(key)
+        if cached is None:
+            cached = dims_memo[key] = reference_dims(
+                ref, expand, region_index, read_only_vars
+            )
+        return cached
+
     for ref in ordered:
         if ref.access is not AccessType.READ:
             continue
         info = per_var[ref.variable]
         covering = None
         for write in info.writes:
-            if write_covers_read(write, ref, region_index, read_only_vars):
+            if _covers(write, ref, dims):
                 covering = write
                 break
         if covering is not None:

@@ -23,10 +23,11 @@ pairs are suppressed; intra-segment dependences are kept.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.access import linear_terms
 from repro.analysis.cache import AnalysisCache
@@ -39,14 +40,13 @@ from repro.analysis.dependence.signature import SignatureIndex
 from repro.analysis.dependence.subscript_tests import (
     ALL_RELATIONS,
     AliasRelation,
-    RelationSet,
     explicit_pair_may_alias,
     relation_of_reference_pair,
 )
 from repro.analysis.readonly import read_only_variables
 from repro.ir.reference import MemoryReference
 from repro.ir.region import ExplicitRegion, LoopRegion, Region
-from repro.ir.types import AccessType, DependenceScope
+from repro.ir.types import AccessType, DependenceKind, DependenceScope
 
 
 def _subscript_facts(ref: MemoryReference, memo: Dict[str, tuple]) -> tuple:
@@ -121,41 +121,53 @@ def _intra_reverse_may_alias(
     return True
 
 
-def _emit_intra_segment(
-    graph: DependenceGraph,
+#: Relations that put the pair's instances in different segments.
+_CARRIED = frozenset({AliasRelation.BEFORE, AliasRelation.AFTER})
+
+#: One edge of a reference pair ``(a, b)``, relative to the pair:
+#: (source is ``a``, sink is ``a``, kind, scope, distance).
+_EdgeTemplate = Tuple[
+    Tuple[bool, bool, DependenceKind, DependenceScope, Optional[int]], ...
+]
+
+
+def _pair_edges(
     ref_a: MemoryReference,
     ref_b: MemoryReference,
     variable: str,
+    intra: bool,
+    cross: Sequence[Tuple[MemoryReference, MemoryReference]],
+    distance: Optional[int],
     invariant: Set[str],
     memo: Dict[str, tuple],
-) -> None:
-    """Intra-segment dependences of one aliasing pair.
+) -> List[Dependence]:
+    """Dependences of one reference pair, in emission order.
 
-    Program order decides the direction for same-instance aliasing; a
-    shared inner loop additionally interleaves the instances, making
-    the reverse direction real (see :func:`_intra_reverse_may_alias`).
+    ``intra`` says the pair may alias within one segment instance:
+    program order decides the direction, and a shared inner loop
+    additionally interleaves the instances, making the reverse direction
+    real (see :func:`_intra_reverse_may_alias`).  ``cross`` lists the
+    oriented ``(source, sink)`` cross-segment candidates, all at
+    ``distance``.  Read-read candidates carry no dependence.
     """
-    source, sink = (
-        (ref_a, ref_b) if ref_a.order < ref_b.order else (ref_b, ref_a)
-    )
-    pairs = (
-        ((source, sink), (sink, source))
-        if _intra_reverse_may_alias(ref_a, ref_b, invariant, memo)
-        else ((source, sink),)
-    )
-    for src, snk in pairs:
-        kind = dependence_kind(src, snk)
+    edges: List[
+        Tuple[MemoryReference, MemoryReference, DependenceScope, Optional[int]]
+    ] = []
+    if intra:
+        source, sink = (
+            (ref_a, ref_b) if ref_a.order < ref_b.order else (ref_b, ref_a)
+        )
+        edges.append((source, sink, DependenceScope.INTRA_SEGMENT, 0))
+        if _intra_reverse_may_alias(ref_a, ref_b, invariant, memo):
+            edges.append((sink, source, DependenceScope.INTRA_SEGMENT, 0))
+    for source, sink in cross:
+        edges.append((source, sink, DependenceScope.CROSS_SEGMENT, distance))
+    out: List[Dependence] = []
+    for source, sink, scope, dist in edges:
+        kind = dependence_kind(source, sink)
         if kind is not None:
-            graph.add(
-                Dependence(
-                    source=src,
-                    sink=snk,
-                    kind=kind,
-                    scope=DependenceScope.INTRA_SEGMENT,
-                    variable=variable,
-                    distance=0,
-                )
-            )
+            out.append(Dependence(source, sink, kind, scope, variable, dist))
+    return out
 
 
 class DependenceGranularity(enum.Enum):
@@ -177,10 +189,12 @@ class DependenceAnalyzer:
     """Configurable reference-by-reference dependence analyser.
 
     ``fast_path`` enables the signature-bucketed relation memoization of
-    :mod:`repro.analysis.dependence.signature` (identical results, far
-    fewer subscript tests); disable it to run the original pair-by-pair
-    tests, e.g. for baseline measurements.  ``cache`` memoizes whole
-    dependence graphs (and signature indexes) across analysis passes.
+    :mod:`repro.analysis.dependence.signature` and the per-class-pair
+    edge templates of :meth:`_analyze_loop` (identical results, far
+    fewer subscript tests and edge derivations); disable it to run the
+    original pair-by-pair tests, e.g. for baseline measurements.
+    ``cache`` memoizes whole dependence graphs (and signature indexes)
+    across analysis passes.
     """
 
     granularity: DependenceGranularity = DependenceGranularity.ELEMENT
@@ -225,13 +239,16 @@ class DependenceAnalyzer:
         private_variables: Set[str],
         read_only: Set[str],
     ) -> DependenceGraph:
-        graph = DependenceGraph(region.name)
         if isinstance(region, LoopRegion):
-            self._analyze_loop(region, graph, private_variables, read_only)
+            deps = self._analyze_loop(region, private_variables, read_only)
         elif isinstance(region, ExplicitRegion):
-            self._analyze_explicit(region, graph, private_variables, read_only)
+            deps = self._analyze_explicit(region, private_variables, read_only)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown region type {type(region).__name__}")
+        graph = DependenceGraph(region.name)
+        # Every reference pair is visited once and its edges are distinct,
+        # so the analyser never emits the same edge twice.
+        graph.extend_distinct(deps)
         return graph
 
     def _signature_index(
@@ -255,10 +272,20 @@ class DependenceAnalyzer:
     def _analyze_loop(
         self,
         region: LoopRegion,
-        graph: DependenceGraph,
         private_variables: Set[str],
         read_only: Set[str],
-    ) -> None:
+    ) -> List[Dependence]:
+        """Dependences of a loop region, one edge template per class pair.
+
+        The edges of a reference pair depend only on the pair's relation
+        set, access types, enclosing ``DO`` loops, subscript text,
+        ``i == j``, textual order and the variable's privacy.  On the fast
+        path references with equal (signature group, access, loops,
+        subscript text) form one *class*; the edges of the first pair of
+        each class pair become a template that every later pair of the
+        same class pair instantiates.  On the seed path every reference
+        is its own class, so every pair computes its own edges.
+        """
         by_var: Dict[str, List[MemoryReference]] = {}
         for ref in region.references:
             by_var.setdefault(ref.variable, []).append(ref)
@@ -271,113 +298,121 @@ class DependenceAnalyzer:
         # one segment: the region index and region-read-only scalars.
         invariant = set(read_only) | {region.index}
         memo: Dict[str, tuple] = {}
+        class_ids: Dict[tuple, int] = {}
+        deps: List[Dependence] = []
 
         for variable, refs in by_var.items():
-            writes = [r for r in refs if r.access is AccessType.WRITE]
-            if not writes:
+            if not any(r.access is AccessType.WRITE for r in refs):
                 continue  # read-only variables carry no dependences
             refs_sorted = sorted(refs, key=lambda r: r.order)
-            groups: Optional[List[int]] = None
-            if index is not None:
-                groups = [index.group_of(r) for r in refs_sorted]
-            for i, ref_a in enumerate(refs_sorted):
-                a_is_read = ref_a.access is AccessType.READ
-                for j in range(i, len(refs_sorted)):
-                    ref_b = refs_sorted[j]
-                    if a_is_read and ref_b.access is AccessType.READ:
-                        continue
-                    if groups is not None:
-                        relations = index.relations_of_groups(groups[i], groups[j])
-                    else:
-                        relations = self._loop_relations(
-                            ref_a, ref_b, region, read_only
-                        )
-                    if not relations:
-                        continue
-                    self._emit_loop_dependences(
-                        graph,
-                        ref_a,
-                        ref_b,
-                        relations,
-                        variable,
-                        private_variables,
-                        invariant,
-                        memo,
+            if self.fast_path:
+                classes = [
+                    class_ids.setdefault(
+                        (
+                            index.group_of(r) if index is not None else 0,
+                            r.access,
+                            r.enclosing_loops,
+                            _subscript_facts(r, memo)[0],
+                        ),
+                        len(class_ids),
                     )
+                    for r in refs_sorted
+                ]
+            else:
+                classes = list(range(len(refs_sorted)))
+            private = variable in private_variables
+            templates: Dict[Tuple[int, int, bool, bool], _EdgeTemplate] = {}
+            # A read pairs only with writes (read-read pairs carry no
+            # dependence), a write with every reference from itself on.
+            writes_at = [
+                j for j, r in enumerate(refs_sorted) if r.access is AccessType.WRITE
+            ]
+            for i, ref_a in enumerate(refs_sorted):
+                partners: Sequence[int] = (
+                    writes_at[bisect.bisect_right(writes_at, i):]
+                    if ref_a.access is AccessType.READ
+                    else range(i, len(refs_sorted))
+                )
+                class_a = classes[i]
+                order_a = ref_a.order
+                for j in partners:
+                    ref_b = refs_sorted[j]
+                    key = (class_a, classes[j], i == j, order_a < ref_b.order)
+                    template = templates.get(key)
+                    if template is None:
+                        template = templates[key] = self._loop_template(
+                            ref_a,
+                            ref_b,
+                            variable,
+                            private,
+                            index,
+                            region,
+                            read_only,
+                            invariant,
+                            memo,
+                        )
+                    for src_a, snk_a, kind, scope, distance in template:
+                        deps.append(
+                            Dependence(
+                                ref_a if src_a else ref_b,
+                                ref_a if snk_a else ref_b,
+                                kind,
+                                scope,
+                                variable,
+                                distance,
+                            )
+                        )
+        return deps
 
-    def _loop_relations(
+    def _loop_template(
         self,
         ref_a: MemoryReference,
         ref_b: MemoryReference,
+        variable: str,
+        private: bool,
+        index: Optional[SignatureIndex],
         region: LoopRegion,
         read_only: Set[str],
-    ) -> RelationSet:
-        if self.granularity is DependenceGranularity.VARIABLE:
-            return ALL_RELATIONS
-        return relation_of_reference_pair(ref_a, ref_b, region, read_only)
-
-    def _emit_loop_dependences(
-        self,
-        graph: DependenceGraph,
-        ref_a: MemoryReference,
-        ref_b: MemoryReference,
-        relations: RelationSet,
-        variable: str,
-        private_variables: Set[str],
         invariant: Set[str],
         memo: Dict[str, tuple],
-    ) -> None:
-        # Intra-segment dependences (same iteration).
-        if AliasRelation.SAME in relations and ref_a is not ref_b:
-            _emit_intra_segment(graph, ref_a, ref_b, variable, invariant, memo)
-
-        # Cross-segment dependences.
-        if variable in private_variables:
-            return
-        carried = relations & {AliasRelation.BEFORE, AliasRelation.AFTER}
-        if not carried:
-            return
-        if self.direction is DirectionMode.TEXTUAL:
-            source, sink = (
-                (ref_a, ref_b) if ref_a.order <= ref_b.order else (ref_b, ref_a)
-            )
-            kind = dependence_kind(source, sink)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=source,
-                        sink=sink,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
+    ) -> _EdgeTemplate:
+        """Edges of the loop-region pair ``(ref_a, ref_b)``, as a template."""
+        if self.granularity is DependenceGranularity.VARIABLE:
+            relations = ALL_RELATIONS
+        elif index is not None:
+            relations = index.relations_of(ref_a, ref_b)
+        else:
+            relations = relation_of_reference_pair(ref_a, ref_b, region, read_only)
+        if not relations:
+            return ()
+        cross: Tuple[Tuple[MemoryReference, MemoryReference], ...] = ()
+        if not private and relations & _CARRIED:
+            if self.direction is DirectionMode.TEXTUAL:
+                cross = (
+                    ((ref_a, ref_b),)
+                    if ref_a.order <= ref_b.order
+                    else ((ref_b, ref_a),)
                 )
-            return
-        # Execution-order direction: BEFORE means ref_a's segment is older.
-        if AliasRelation.BEFORE in relations:
-            kind = dependence_kind(ref_a, ref_b)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=ref_a,
-                        sink=ref_b,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
-                )
-        if AliasRelation.AFTER in relations and ref_a is not ref_b:
-            kind = dependence_kind(ref_b, ref_a)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=ref_b,
-                        sink=ref_a,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
-                )
+            else:
+                # Execution order: BEFORE means ref_a's segment is older.
+                if AliasRelation.BEFORE in relations:
+                    cross += ((ref_a, ref_b),)
+                if AliasRelation.AFTER in relations and ref_a is not ref_b:
+                    cross += ((ref_b, ref_a),)
+        edges = _pair_edges(
+            ref_a,
+            ref_b,
+            variable,
+            intra=AliasRelation.SAME in relations and ref_a is not ref_b,
+            cross=cross,
+            distance=None,
+            invariant=invariant,
+            memo=memo,
+        )
+        return tuple(
+            (d.source is ref_a, d.sink is ref_a, d.kind, d.scope, d.distance)
+            for d in edges
+        )
 
     # ------------------------------------------------------------------
     # explicit regions
@@ -385,10 +420,9 @@ class DependenceAnalyzer:
     def _analyze_explicit(
         self,
         region: ExplicitRegion,
-        graph: DependenceGraph,
         private_variables: Set[str],
         read_only: Set[str],
-    ) -> None:
+    ) -> List[Dependence]:
         from repro.analysis.cfg import SegmentGraph
 
         segment_graph = SegmentGraph.from_region(region)
@@ -403,11 +437,12 @@ class DependenceAnalyzer:
         # Explicit regions have no region index; only region-read-only
         # scalars are invariant between two instances within one segment.
         memo: Dict[str, tuple] = {}
+        deps: List[Dependence] = []
 
         for variable, refs in by_var.items():
-            writes = [r for r in refs if r.access is AccessType.WRITE]
-            if not writes:
+            if not any(r.access is AccessType.WRITE for r in refs):
                 continue
+            private = variable in private_variables
             for ref_a, ref_b in itertools.combinations(refs, 2):
                 if (
                     ref_a.access is AccessType.READ
@@ -417,12 +452,11 @@ class DependenceAnalyzer:
                 if self.granularity is DependenceGranularity.ELEMENT:
                     if not explicit_pair_may_alias(ref_a, ref_b):
                         continue
-                if ref_a.segment == ref_b.segment:
-                    _emit_intra_segment(
-                        graph, ref_a, ref_b, variable, read_only, memo
-                    )
-                else:
-                    if variable in private_variables:
+                intra = ref_a.segment == ref_b.segment
+                cross: Tuple[Tuple[MemoryReference, MemoryReference], ...] = ()
+                distance: Optional[int] = None
+                if not intra:
+                    if private:
                         continue
                     age_a = region.age_of(ref_a.segment)
                     age_b = region.age_of(ref_b.segment)
@@ -435,18 +469,21 @@ class DependenceAnalyzer:
                     # accounts for stale values left by wrong-path writes).
                     if sink.segment not in reachable.get(source.segment, set()):
                         continue
-                    kind = dependence_kind(source, sink)
-                    if kind is not None:
-                        graph.add(
-                            Dependence(
-                                source=source,
-                                sink=sink,
-                                kind=kind,
-                                scope=DependenceScope.CROSS_SEGMENT,
-                                variable=variable,
-                                distance=abs(age_b - age_a),
-                            )
-                        )
+                    cross = ((source, sink),)
+                    distance = abs(age_b - age_a)
+                deps.extend(
+                    _pair_edges(
+                        ref_a,
+                        ref_b,
+                        variable,
+                        intra=intra,
+                        cross=cross,
+                        distance=distance,
+                        invariant=read_only,
+                        memo=memo,
+                    )
+                )
+        return deps
 
 
 def analyze_dependences(

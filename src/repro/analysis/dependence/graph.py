@@ -15,16 +15,18 @@ regions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 
 from repro.ir.reference import MemoryReference
 from repro.ir.types import AccessType, DependenceKind, DependenceScope
 
 
-@dataclass(frozen=True)
-class Dependence:
-    """One may-dependence between two references."""
+class Dependence(NamedTuple):
+    """One may-dependence between two references.
+
+    A named tuple: the analyser builds one per edge, and a tuple costs a
+    fraction of a frozen dataclass to construct.
+    """
 
     source: MemoryReference
     sink: MemoryReference
@@ -69,7 +71,6 @@ class DependenceGraph:
         self.region_name = region_name
         self.dependences: List[Dependence] = []
         self._by_sink: Dict[str, List[Dependence]] = {}
-        self._by_source: Dict[str, List[Dependence]] = {}
         for dep in dependences:
             self.add(dep)
 
@@ -85,7 +86,18 @@ class DependenceGraph:
                 return
         self.dependences.append(dep)
         self._by_sink.setdefault(dep.sink.uid, []).append(dep)
-        self._by_source.setdefault(dep.source.uid, []).append(dep)
+
+    def extend_distinct(self, deps: Iterable[Dependence]) -> None:
+        """Append dependences in order, without :meth:`add`'s duplicate scan.
+
+        The caller guarantees that no two of ``deps``, and none of them
+        and an edge already in the graph, share endpoints, kind and
+        scope (the dependence analyser visits each reference pair once).
+        """
+        by_sink = self._by_sink
+        for dep in deps:
+            self.dependences.append(dep)
+            by_sink.setdefault(dep.sink.uid, []).append(dep)
 
     def __len__(self) -> int:
         return len(self.dependences)
@@ -102,7 +114,7 @@ class DependenceGraph:
 
     def deps_with_source(self, ref: MemoryReference) -> List[Dependence]:
         """All dependences whose source is ``ref``."""
-        return list(self._by_source.get(ref.uid, []))
+        return [d for d in self.dependences if d.source.uid == ref.uid]
 
     def is_sink(self, ref: MemoryReference) -> bool:
         """True when ``ref`` is the sink of any dependence."""

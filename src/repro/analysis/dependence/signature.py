@@ -38,7 +38,7 @@ on the region text and the invariant-symbol set it was built with).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.analysis.dependence.subscript import AffineSubscript, affine_subscripts_of
 from repro.analysis.dependence.subscript_tests import (
@@ -50,6 +50,7 @@ from repro.analysis.dependence.subscript_tests import (
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.region import LoopRegion
+from repro.ir.types import AccessType
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class ReferenceSignature:
 def signature_of(
     ref: MemoryReference,
     region_index: Optional[str],
-    invariant_symbols: Set[str],
+    invariant_symbols: AbstractSet[str],
 ) -> ReferenceSignature:
     """Canonical signature of ``ref`` relative to the region loop."""
     if not ref.subscripts:
@@ -121,6 +122,14 @@ class SignatureIndex:
     :meth:`group_of` each reference and :meth:`relations_of_groups` for
     pairs.  The index also exposes hit/miss counters so the benchmark
     harness can report pruning effectiveness.
+
+    Every reference to a variable the region writes (the only ones the
+    dependence analyser pairs) gets its group when the index is built, so
+    concurrent users (the index is shared through
+    :class:`~repro.analysis.cache.AnalysisCache`) only read the group
+    tables.  The pair-relation table fills lazily; two threads missing
+    the same pair both store the same relation set, and only the
+    diagnostic counters may lose an update.
     """
 
     region: LoopRegion
@@ -135,21 +144,21 @@ class SignatureIndex:
 
     def __post_init__(self) -> None:
         self.bounds = LoopBounds.of_region(self.region)
+        refs = self.region.references
+        written = {r.variable for r in refs if r.access is AccessType.WRITE}
+        for ref in refs:
+            if ref.variable not in written:
+                continue
+            sig = signature_of(ref, self.region.index, self.invariant_symbols)
+            gid = self._group_ids.setdefault(sig, len(self._groups))
+            if gid == len(self._groups):
+                self._groups.append(sig)
+            self._ref_groups[ref.uid] = gid
 
     # ------------------------------------------------------------------
     def group_of(self, ref: MemoryReference) -> int:
-        """Signature group id of ``ref`` (computed once per reference)."""
-        gid = self._ref_groups.get(ref.uid)
-        if gid is not None:
-            return gid
-        sig = signature_of(ref, self.region.index, self.invariant_symbols)
-        gid = self._group_ids.get(sig)
-        if gid is None:
-            gid = len(self._groups)
-            self._group_ids[sig] = gid
-            self._groups.append(sig)
-        self._ref_groups[ref.uid] = gid
-        return gid
+        """Signature group id of ``ref`` (a reference to a written variable)."""
+        return self._ref_groups[ref.uid]
 
     def relations_of_groups(self, gid_a: int, gid_b: int) -> RelationSet:
         """Relation set of the (ordered) signature-group pair."""

@@ -18,7 +18,7 @@ non-affine and forces conservative may-dependence answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Optional, Set, Tuple
 
 from repro.analysis.access import linear_terms
 from repro.ir.expr import Expr, Index
@@ -65,7 +65,7 @@ def extract_affine(
     expr: Expr,
     region_index: Optional[str],
     inner_indices: Set[str],
-    invariant_symbols: Set[str],
+    invariant_symbols: AbstractSet[str],
 ) -> AffineSubscript:
     """Decompose ``expr`` into an :class:`AffineSubscript`.
 
@@ -104,7 +104,7 @@ def extract_affine(
 def affine_subscripts_of(
     ref: MemoryReference,
     region_index: Optional[str],
-    invariant_symbols: Set[str],
+    invariant_symbols: AbstractSet[str],
 ) -> Tuple[AffineSubscript, ...]:
     """Affine decompositions of all subscripts of ``ref``."""
     inner_indices = {do.index for do in ref.enclosing_loops}

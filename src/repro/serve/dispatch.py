@@ -308,6 +308,14 @@ class Dispatcher:
             capacity = int(capacity)
         return window, capacity
 
+    @staticmethod
+    def _flag(params: Dict[str, Any], name: str) -> bool:
+        """Boolean param ``name`` (default true); only a JSON boolean is valid."""
+        value = params.get(name, True)
+        if not isinstance(value, bool):
+            raise ProtocolError(INVALID_PARAMS, f"'{name}' must be a boolean")
+        return value
+
     def _region_of(self, program: Program, params: Dict[str, Any]):
         name = params.get("region")
         if not program.regions:
@@ -328,8 +336,8 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _analyze(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Algorithm-2 labeling summary for every region of the program."""
+        fast_path = self._flag(params, "fast_path")
         program = self.resolve_program(params)
-        fast_path = bool(params.get("fast_path", True))
         regions = []
         for region in program.regions:
             result = label_region(
@@ -361,12 +369,13 @@ class Dispatcher:
 
     def _label(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Per-reference labels and categories of one region."""
+        fast_path = self._flag(params, "fast_path")
         program = self.resolve_program(params)
         region = self._region_of(program, params)
         result = label_region(
             region,
             program=program,
-            fast_path=bool(params.get("fast_path", True)),
+            fast_path=fast_path,
             cache=self.cache,
         )
         labels = {}
@@ -384,6 +393,7 @@ class Dispatcher:
 
     def _simulate(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One engine run, checked bit-for-bit against sequential."""
+        batch = self._flag(params, "batch")
         program = self.resolve_program(params)
         engine_name = params.get("engine", "case")
         engine_cls = ENGINES.get(engine_name)
@@ -397,7 +407,7 @@ class Dispatcher:
         kwargs: Dict[str, Any] = {
             "window": window,
             "capacity": capacity,
-            "batch": bool(params.get("batch", True)),
+            "batch": batch,
         }
         if engine_cls is CASEEngine:
             kwargs["cache"] = self.cache
@@ -430,6 +440,7 @@ class Dispatcher:
 
     def _speedup_sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """HOSE/CASE makespans and speedups across processor counts."""
+        batch = self._flag(params, "batch")
         program = self.resolve_program(params)
         processors = params.get("processors", [1, 2, 4])
         if (
@@ -471,7 +482,7 @@ class Dispatcher:
                 "window": window,
                 "capacity": capacity,
                 "recorder": recorder,
-                "batch": bool(params.get("batch", True)),
+                "batch": batch,
             }
             if engine_cls is CASEEngine:
                 kwargs["cache"] = self.cache

@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.analysis.cache import AnalysisCache
+from repro.analysis.dependence.signature import SignatureIndex, signature_of
+from repro.analysis.readonly import read_only_variables
 from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
 
@@ -129,3 +131,44 @@ class TestCacheConcurrentLabeling:
             assert res.categories == reference.categories
         assert cache.hits > 0
         assert cache.misses > 0
+
+
+class TestSignatureIndexSharing:
+    def test_concurrent_users_see_one_group_per_signature(self, tight_switching):
+        # Regression: groups used to be assigned lazily in group_of, with
+        # ``gid = len(self._groups)`` read before the signature was
+        # registered, so two threads sharing one index (through the
+        # cache) could give two signatures the same group id and hand a
+        # reference another signature's relation sets.
+        body = "\n".join(f"    a(i + {k}) = a(i - {k}) + b(i)" for k in range(1, 13))
+        program = parse_program(
+            f"""
+program sigrace
+  real a(64), b(64)
+  region L do i = 13, 50
+{body}
+    liveout a
+  end region
+end program
+"""
+        )
+        region = program.regions[0]
+        invariant = frozenset(read_only_variables(region))
+        refs = [r for r in region.references if r.variable == "a"]
+        signatures = [signature_of(r, region.index, invariant) for r in refs]
+        for _ in range(100):
+            index = SignatureIndex(region=region, invariant_symbols=invariant)
+            barrier = threading.Barrier(THREADS)
+
+            def groups(worker, index=index, barrier=barrier):
+                barrier.wait()
+                order = refs if worker % 2 else refs[::-1]
+                return {r.uid: index.group_of(r) for r in order}
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                seen = [f.result() for f in [pool.submit(groups, t) for t in range(THREADS)]]
+            assert all(s == seen[0] for s in seen)
+            for ra, sa in zip(refs, signatures):
+                for rb, sb in zip(refs, signatures):
+                    same_group = index.group_of(ra) == index.group_of(rb)
+                    assert same_group == (sa == sb)

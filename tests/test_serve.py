@@ -243,6 +243,31 @@ class TestDispatcher:
         )
         assert response["error"]["code"] == INVALID_PARAMS
 
+    @pytest.mark.parametrize(
+        "method, flag",
+        [
+            ("analyze", "fast_path"),
+            ("label", "fast_path"),
+            ("simulate", "batch"),
+            ("speedup_sweep", "batch"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+    def test_boolean_params_must_be_json_booleans(self, method, flag, value):
+        # ``"fast_path": "false"`` used to be read with bool() and run
+        # the fast path.
+        response = Dispatcher().dispatch(rpc(11, method, {"dsl": DSL, flag: value}))
+        assert response["error"]["code"] == INVALID_PARAMS
+        assert f"'{flag}' must be a boolean" in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "method, flag",
+        [("analyze", "fast_path"), ("label", "fast_path"), ("simulate", "batch")],
+    )
+    def test_boolean_params_accept_false(self, method, flag):
+        response = Dispatcher().dispatch(rpc(12, method, {"dsl": DSL, flag: False}))
+        assert "result" in response
+
 
 class _PerturbedHOSE:
     """A HOSE engine whose final memory differs at one address."""
